@@ -117,10 +117,21 @@ class OrganizedInformation:
         self.db = db or Database()
         if "deals" not in self.db.table_names:
             create_schema(self.db)
-        self._contact_id = 0
-        self._strategy_id = 0
-        self._technology_id = 0
-        self._reference_id = 0
+        # Ids continue after the highest stored one, so wrapping a loaded
+        # database appends rows without primary-key collisions.
+        self._contact_id = self._max_id("contacts", "contact_id")
+        self._strategy_id = self._max_id("win_strategies", "strategy_id")
+        self._technology_id = self._max_id("technologies", "technology_id")
+        self._reference_id = self._max_id(
+            "client_references", "reference_id"
+        )
+
+    def _max_id(self, table: str, column: str) -> int:
+        # A raw column scan: this runs on every load, and a SELECT would
+        # build a row context per stored row.
+        stored = self.db.table(table)
+        position = stored.schema.position(column)
+        return max((row[position] for _, row in stored.scan()), default=0)
 
     # -- population (offline pipeline, Fig. 2 left-to-right) --------------
 

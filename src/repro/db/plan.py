@@ -76,6 +76,7 @@ from repro.db.expr import (
     ColumnRef,
     Comparison,
     Expression,
+    InList,
     Literal,
     Parameter,
     _as_bool,
@@ -204,13 +205,15 @@ def _probe_value(expression: Expression, params: Sequence[Any]) -> Any:
 class _BaseAccess:
     """Access path for one table's rows, chosen by shape at plan time.
 
-    Preference order matches the seed planner: single-column equality
-    index, then sorted-index range, then full scan.  Probe values may
-    be ``?`` parameters — they are read per execution, and a NULL probe
-    short-circuits to an empty scan (``col = NULL`` is never true, and
-    the conjunct that produced the probe is re-applied anyway)."""
+    Preference order: single-column equality index, then single-column
+    index probed once per ``IN``-list choice, then sorted-index range,
+    then full scan.  Probe values may be ``?`` parameters — they are
+    read per execution, and a NULL probe short-circuits to an empty
+    scan (``col = NULL`` is never true, and the conjunct that produced
+    the probe is re-applied anyway); NULL ``IN`` choices are skipped
+    for the same reason."""
 
-    __slots__ = ("table", "kind", "index", "column", "op", "value_expr")
+    __slots__ = ("table", "kind", "index", "column", "op", "value_exprs")
 
     def __init__(
         self, table: Table, ref: TableRef, conjuncts: Sequence[Expression]
@@ -220,11 +223,21 @@ class _BaseAccess:
         self.index = None
         self.column: Optional[str] = None
         self.op: Optional[str] = None
-        self.value_expr: Optional[Expression] = None
+        self.value_exprs: Tuple[Expression, ...] = ()
 
-        equality: List[Tuple[str, Expression]] = []
-        ranges: List[Tuple[str, str, Expression]] = []
+        # (kind, column, op, probe expressions) per usable conjunct.
+        equality: List[Tuple[str, str, Optional[str], tuple]] = []
+        in_lists: List[Tuple[str, str, Optional[str], tuple]] = []
+        ranges: List[Tuple[str, str, Optional[str], tuple]] = []
         for conjunct in conjuncts:
+            if isinstance(conjunct, InList):
+                column = _column_of(conjunct.operand, ref, table)
+                if column is not None and not conjunct.negated and all(
+                    isinstance(choice, (Literal, Parameter))
+                    for choice in conjunct.choices
+                ):
+                    in_lists.append(("in", column, None, conjunct.choices))
+                continue
             if not isinstance(conjunct, Comparison):
                 continue
             left, right = conjunct.left, conjunct.right
@@ -242,35 +255,41 @@ class _BaseAccess:
             if column is None:
                 continue
             if op == "=":
-                equality.append((column, right))
+                equality.append(("eq", column, None, (right,)))
             elif op in ("<", "<=", ">", ">="):
-                ranges.append((column, op, right))
+                ranges.append(("range", column, op, (right,)))
 
-        for column, value_expr in equality:
+        for kind, column, op, value_exprs in equality + in_lists + ranges:
             index = table.index_on((column,))
-            if index is not None:
-                self.kind = "eq"
-                self.index = index
-                self.column = column
-                self.value_expr = value_expr
-                return
-        for column, op, value_expr in ranges:
-            index = table.index_on((column,))
-            if isinstance(index, SortedIndex):
-                self.kind = "range"
-                self.index = index
-                self.column = column
-                self.op = op
-                self.value_expr = value_expr
-                return
+            if index is None or (
+                kind == "range" and not isinstance(index, SortedIndex)
+            ):
+                continue
+            self.kind = kind
+            self.index = index
+            self.column = column
+            self.op = op
+            self.value_exprs = value_exprs
+            return
 
     def rowids(
         self, params: Sequence[Any], plan: List[str]
     ) -> Iterable[int]:
-        """Candidate row ids in ascending-rowid order (scan/eq) or key
+        """Candidate row ids in ascending-rowid order (scan/eq/in) or key
         order (range), appending the chosen path to ``plan``."""
+        if self.kind == "in":
+            plan.append(f"index in-list {self.index.name}({self.column})")
+            # The union in rowid order is the order a full scan visits
+            # the same rows, so GROUP BY first-encounter order and
+            # MIN/MAX tie-breaking match the scan exactly.
+            matched: Set[int] = set()
+            for expression in self.value_exprs:
+                value = _probe_value(expression, params)
+                if value is not None:
+                    matched.update(self.index.lookup((value,)))
+            return sorted(matched)
         if self.kind == "eq":
-            value = _probe_value(self.value_expr, params)
+            value = _probe_value(self.value_exprs[0], params)
             if value is None:
                 plan.append(
                     f"empty scan {self.table.schema.name} "
@@ -282,7 +301,7 @@ class _BaseAccess:
             )
             return self.index.lookup_sorted((value,))
         if self.kind == "range":
-            value = _probe_value(self.value_expr, params)
+            value = _probe_value(self.value_exprs[0], params)
             if value is None:
                 plan.append(
                     f"empty scan {self.table.schema.name} "

@@ -83,10 +83,6 @@ DocFilter = Union[AbstractSet[str], Callable[[IndexableDocument], bool], None]
 #: Phrase matches are stronger evidence than the bag of words.
 _PHRASE_BOOST = 1.25
 
-# When an id-set filter is much smaller than a posting list, probe the
-# filter against the index instead of scanning the posting array.
-_PROBE_RATIO = 8
-
 
 @dataclass(frozen=True)
 class ExecutionOptions:
@@ -367,20 +363,10 @@ class _Execution:
             lengths: Sequence[int] = compiled.lengths
         elif not allowed:
             return
-        elif len(allowed) * _PROBE_RATIO < df:
-            # Tiny filter against a long posting list: probe the filter
-            # ids instead of scanning the whole array.
-            doc_ids, tfs, lengths = [], [], []
-            for doc_id in allowed:
-                tf = self.index.term_frequency(term, doc_id, field_name)
-                if tf == 0:
-                    continue
-                doc_ids.append(doc_id)
-                tfs.append(tf)
-                lengths.append(
-                    self.index.field_length(field_name, doc_id)
-                )
         else:
+            # O(df) set checks over the already-decoded arrays; probing
+            # the index per filter id would re-decode the posting list
+            # once per id on a segmented index.
             keep = [
                 i
                 for i, doc_id in enumerate(compiled.doc_ids)

@@ -4,6 +4,8 @@ import pytest
 
 from repro.annotators import ContactRecord, ScopeEntry
 from repro.core import OrganizedInformation
+from repro.core.query_analyzer import SynopsisSearch
+from repro.corpus import build_default_taxonomy
 from repro.errors import IntegrityError
 
 
@@ -94,3 +96,50 @@ class TestPopulation:
         row = organized.deal_row("d2")
         assert row["name"] == "d2"
         assert row["customer"] is None
+
+
+class TestWrappingLoadedDatabase:
+    def test_id_counters_continue_after_stored_rows(self, organized):
+        # A loaded synopsis database arrives with rows; new ids must not
+        # restart at 1 and collide with them.
+        wrapped = OrganizedInformation(db=organized.db)
+        wrapped.store_deal_context("d2", {"Deal Name": "DEAL B"})
+        wrapped.store_contacts("d2", [
+            ContactRecord("d2", "Jane Doe", "jane.doe@abc.com", "", "ABC",
+                          "Technical Solution Architect", "core deal team"),
+        ])
+        wrapped.store_win_strategies("d2", ["incumbent advantage"])
+        wrapped.store_technologies("d2", [("VoIP", "Network Services")])
+        wrapped.store_client_references("d2", ["bank reference"])
+        for table, column in (
+            ("contacts", "contact_id"),
+            ("win_strategies", "strategy_id"),
+            ("technologies", "technology_id"),
+            ("client_references", "reference_id"),
+        ):
+            assert organized.db.execute(
+                f"SELECT {column} FROM {table} ORDER BY {column}"
+            ).column(column) == [1, 2], table
+
+
+class TestTowerCriterionPlan:
+    def test_tower_sql_served_by_in_list_index(self, organized,
+                                               monkeypatch):
+        search = SynopsisSearch(organized, build_default_taxonomy())
+        issued = []
+        execute = organized.db.execute
+
+        def spy(sql, params=()):
+            issued.append((sql, list(params)))
+            return execute(sql, params)
+
+        monkeypatch.setattr(organized.db, "execute", spy)
+        assert "d1" in search._tower_scores("End User Services")
+        [(sql, params)] = issued
+        assert " IN (" in sql
+        plan = organized.db.explain(sql, params).column("plan")
+        assert any(
+            line.startswith("index in-list ix_scopes_canonical")
+            for line in plan
+        ), plan
+        assert "full scan deal_scopes" not in plan

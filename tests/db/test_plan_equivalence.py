@@ -54,6 +54,7 @@ def db():
     database.execute("CREATE INDEX ix_contacts_deal ON contacts (deal_id)")
     database.execute("CREATE INDEX ix_deals_industry ON deals (industry)")
     database.execute("CREATE INDEX ix_scopes_deal ON scopes (deal_id)")
+    database.execute("CREATE INDEX ix_scopes_tower ON scopes (tower)")
     deals = [
         ("d1", "bank", 10.5, "Sam"),
         ("d2", "auto", 0.1, "Sam"),
@@ -154,6 +155,30 @@ QUERY_ZOO = [
     ("SELECT lead, count(*) FROM deals WHERE industry = ? "
      "GROUP BY lead ORDER BY lead", ("bank",)),
     ("SELECT sum(value) FROM deals WHERE industry = 'nope'", ()),
+    # IN-lists on indexed columns: the index path must return the union
+    # in scan order, skip NULL choices and collapse duplicates.
+    ("SELECT deal_id, value FROM deals WHERE industry IN ('retail', 'bank')",
+     ()),
+    ("SELECT cid, nm FROM contacts WHERE deal_id IN (?, ?, ?)",
+     ("d3", "dX", "d1")),
+    ("SELECT deal_id FROM deals WHERE industry IN ('auto', NULL)", ()),
+    ("SELECT cid FROM contacts WHERE deal_id IN (?, ?)", (None, "d2")),
+    ("SELECT cid FROM contacts WHERE deal_id IN (?)", (None,)),
+    ("SELECT sid, hours FROM scopes WHERE deal_id IN ('d1', 'd2', 'd1')",
+     ()),
+    ("SELECT deal_id FROM deals WHERE industry NOT IN ('bank', 'auto')", ()),
+    ("SELECT cid FROM contacts WHERE deal_id IN ('d1', 'd3') AND cid = 5",
+     ()),
+    ("SELECT cid FROM contacts WHERE role = 'CSE' AND deal_id IN ('d3', 'd1')",
+     ()),
+    # The synopsis tower criterion: IN + GROUP BY + MIN, where choice
+    # order differs from row order (first-encounter group order).
+    ("SELECT deal_id, MIN(hours) AS best FROM scopes "
+     "WHERE tower IN (?, ?) GROUP BY deal_id", ("LAN", "WAN")),
+    ("SELECT d.deal_id, c.nm FROM deals d "
+     "JOIN contacts c ON c.deal_id = d.deal_id "
+     "WHERE d.industry IN ('bank', 'retail') ORDER BY c.nm", ()),
+    ("SELECT count(*) FROM deals WHERE industry IN ('nope', 'none')", ()),
 ]
 
 

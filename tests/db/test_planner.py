@@ -3,7 +3,8 @@
 import pytest
 
 from repro import obs
-from repro.db import Database, PlannerOptions
+from repro.db import Database, PlannerOptions, parse
+from repro.db.query import naive_execute_select
 
 
 @pytest.fixture
@@ -110,6 +111,60 @@ class TestPushdown:
         )
         assert result.rows == []
         assert any("empty scan" in line for line in result.plan)
+
+
+class TestInListAccess:
+    def test_in_list_served_by_index(self, db, registry):
+        result = db.execute(
+            "SELECT cid FROM contacts WHERE deal_id IN (?, ?, NULL)",
+            ["d3", "d1"],
+        )
+        assert "index in-list ix_contacts_deal(deal_id)" in result.plan
+        # Union in rowid order, as a full scan would visit the rows.
+        assert result.column("cid") == (
+            [10 + j for j in range(8)] + [30 + j for j in range(8)]
+        )
+        assert registry.counter("db.rows_scanned").value == 16
+
+    def test_not_in_stays_a_scan(self, db):
+        result = db.execute(
+            "SELECT cid FROM contacts WHERE deal_id NOT IN ('d0')"
+        )
+        assert "full scan contacts" in result.plan
+        assert len(result.rows) == 24
+
+    def test_equality_index_preferred_over_in_list(self, db):
+        result = db.execute(
+            "SELECT nm FROM contacts WHERE deal_id IN ('d1', 'd2') "
+            "AND cid = 12"
+        )
+        assert any("index lookup pk_contacts" in line
+                   for line in result.plan)
+        assert result.rows == [("p1.2",)]
+
+    @pytest.mark.parametrize("statement", [
+        "UPDATE contacts SET nm = 'moved' WHERE deal_id IN (?, ?)",
+        "DELETE FROM contacts WHERE deal_id IN (?, ?)",
+    ])
+    def test_mutations_use_in_list(self, db, statement):
+        params = ["d2", "d0"]
+        where = statement.split(" WHERE ", 1)[1]
+        selected = naive_execute_select(
+            db, parse(f"SELECT cid FROM contacts WHERE {where}"), params
+        ).column("cid")
+        everyone = db.execute("SELECT cid FROM contacts").column("cid")
+        result = db.execute(statement, params)
+        assert any("index in-list ix_contacts_deal" in line
+                   for line in result.plan)
+        assert result.scalar() == len(selected) == 16
+        if statement.startswith("DELETE"):
+            remaining = db.execute("SELECT cid FROM contacts").column("cid")
+            assert remaining == [c for c in everyone if c not in selected]
+        else:
+            moved = db.execute(
+                "SELECT cid FROM contacts WHERE nm = 'moved'"
+            ).column("cid")
+            assert moved == selected
 
 
 class TestScanMetrics:

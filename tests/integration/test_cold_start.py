@@ -20,8 +20,11 @@ import pytest
 from repro.core.eil import EILSystem
 from repro.core.metaqueries import scope_query, service_keyword_query
 from repro.corpus.generator import CorpusConfig, CorpusGenerator
+from repro.docmodel.repository import WorkbookCollection
 from repro.errors import StorageError
+from repro.search.engine import ExecutionOptions
 from repro.security.access import User
+from repro.storage.segment import Segment
 
 _USER = User("tester", frozenset({"sales"}))
 _CONFIG = dict(seed=2008, n_deals=6, docs_per_deal=14)
@@ -97,6 +100,91 @@ def test_cold_start_supports_mutations(built, corpus, tmp_path):
     assert [counts for _, counts in mutated] == [
         counts for _, counts in keyword_fingerprint(built)
     ]
+
+
+def _corpus_and_newcomer():
+    """The fixture corpus plus one workbook generated after it."""
+    full = CorpusGenerator(
+        CorpusConfig(**dict(_CONFIG, n_deals=_CONFIG["n_deals"] + 1))
+    ).generate()
+    workbooks = list(full.collection)
+    corpus = dataclasses.replace(
+        full,
+        deals=full.deals[:-1],
+        collection=WorkbookCollection(workbooks[:-1]),
+    )
+    return corpus, full.deals[-1], workbooks[-1]
+
+
+def synopsis_rows(eil):
+    db = eil.organized.db
+    return {
+        table: db.execute(f"SELECT * FROM {table}").rows
+        for table in db.table_names
+    }
+
+
+def test_cold_start_onboards_and_offboards_new_workbook(tmp_path):
+    # Separate corpora: onboarding upserts into the shared collection.
+    corpus, deal, workbook = _corpus_and_newcomer()
+    built = EILSystem.build(corpus)
+    built.save_index(str(tmp_path))
+    cold_corpus, _, cold_workbook = _corpus_and_newcomer()
+    cold = EILSystem.load(str(tmp_path), cold_corpus)
+    forms = [scope_query(tower) for tower in deal.towers]
+
+    def answers(eil):
+        return [
+            [(a.deal_id, a.score) for a in eil.search(form, _USER).activities]
+            for form in forms
+        ]
+
+    built.add_workbook(workbook)
+    cold.add_workbook(cold_workbook)
+    assert deal.deal_id in cold.deal_ids()
+    assert synopsis_rows(cold) == synopsis_rows(built)
+    assert answers(cold) == answers(built)
+    assert any(deal.deal_id in [d for d, _ in a] for a in answers(cold))
+    assert keyword_fingerprint(cold) == keyword_fingerprint(built)
+
+    assert cold.remove_deal(deal.deal_id) == built.remove_deal(deal.deal_id)
+    assert synopsis_rows(cold) == synopsis_rows(built)
+    assert answers(cold) == answers(built)
+    assert keyword_fingerprint(cold) == keyword_fingerprint(built)
+
+
+def test_cold_start_tiny_scope_filters_decoded_postings(
+    built, corpus, tmp_path, monkeypatch
+):
+    built.save_index(str(tmp_path))
+    cold = EILSystem.load(str(tmp_path), corpus)
+    query = "services"
+    unscoped = [hit.doc_id for hit in built.engine.search(query)]
+    # Two documents against posting lists of dozens per field.
+    scope = frozenset(unscoped[3:5] + ["no-such-doc"])
+    assert len(unscoped) >= 10 * len(scope)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("probed a segment per document")
+
+    monkeypatch.setattr(Segment, "term_frequency", refuse)
+    # The per-document reference mode does probe, which shows the
+    # loaded index answers from segments.
+    with pytest.raises(AssertionError, match="probed a segment"):
+        cold.engine.search(query, None, scope, ExecutionOptions.exhaustive())
+    reference = [
+        (hit.doc_id, hit.score)
+        for hit in built.engine.search(
+            query, None, scope, ExecutionOptions.exhaustive()
+        )
+    ]
+    assert len(reference) == 2
+    for limit in (None, 1):
+        expected = reference[:limit] if limit else reference
+        assert [
+            (hit.doc_id, hit.score)
+            for hit in cold.engine.search(query, limit, scope)
+        ] == expected
 
 
 def test_cold_start_fresh_process(built, corpus, tmp_path):
