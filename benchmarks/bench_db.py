@@ -7,8 +7,9 @@ organized layer's synopsis schema (deals / deal_scopes / contacts).
 
 Four engine configurations are ablated:
 
-* ``naive``        — seed cost profile: no plan cache, every planner
-                     feature off (re-parse + re-plan per execution).
+* ``naive``        — no plan cache, every planner option off
+                     (re-parse + re-plan per execution; expressions
+                     still compile and the index access paths stay).
 * ``cache_only``   — plan cache on, planner features off.
 * ``planner_only`` — planner features on, plan cache off.
 * ``full``         — the production default.

@@ -89,9 +89,12 @@ _SCHEMA_STATEMENTS = (
         FOREIGN KEY (deal_id) REFERENCES deals (deal_id)
     )
     """,
-    # Analytics rollups group/filter deals by industry; the index lets
-    # the planner serve those WHEREs and index joins without full scans.
+    # Analytics rollups group/filter deals by industry, and the form
+    # search narrows on industry and geography; the indexes let the
+    # planner serve those WHEREs (the LIKE criteria through the index
+    # key filter) and index joins without full scans.
     "CREATE INDEX ix_deals_industry ON deals (industry)",
+    "CREATE INDEX ix_deals_geography ON deals (geography)",
     "CREATE INDEX ix_scopes_deal ON deal_scopes (deal_id)",
     "CREATE INDEX ix_scopes_canonical ON deal_scopes (canonical)",
     "CREATE INDEX ix_scopes_tower ON deal_scopes (tower)",

@@ -428,14 +428,12 @@ class BusinessActivityDrivenSearch:
                         # Activities with no keyword hits drop out:
                         # both parts of the conjunctive query must
                         # hold (step 9).
+                        hit_ids = {g.activity_id for g in siapi_groups}
                         synopsis_matches = {
                             deal_id: match
                             for deal_id, match in
                             synopsis_matches.items()
-                            if any(
-                                g.activity_id == deal_id
-                                for g in siapi_groups
-                            )
+                            if deal_id in hit_ids
                         }
                 else:
                     plan.append("no SIAPI query; synopsis results stand")

@@ -36,8 +36,11 @@ __all__ = [
 
 RowContext = Mapping[str, Any]
 
-# A compiled evaluator: (row context, statement params) -> value.
-CompiledExpr = Callable[[RowContext, Sequence[Any]], Any]
+# A compiled evaluator: (row context or tuple, statement params) -> value.
+CompiledExpr = Callable[[Any, Sequence[Any]], Any]
+
+# Context key -> position in a stored row tuple (see compile_expression).
+Layout = Mapping[str, int]
 
 
 class Expression:
@@ -432,7 +435,9 @@ def _as_bool(value: Any) -> Optional[bool]:
 # ---------------------------------------------------------------------------
 
 
-def compile_expression(expression: Expression) -> CompiledExpr:
+def compile_expression(
+    expression: Expression, layout: Optional[Layout] = None
+) -> CompiledExpr:
     """Lower ``expression`` to a closure ``(row, params) -> value``.
 
     The returned closure evaluates the same three-valued-logic semantics
@@ -441,12 +446,18 @@ def compile_expression(expression: Expression) -> CompiledExpr:
     time — so one compiled tree serves every execution of a cached
     plan, whatever the bound parameters.
 
-    Each call returns *fresh* closures: a :class:`ColumnRef` closure
-    caches its resolved row-context key after the first row, which is
-    only sound while the closure stays at one evaluation site (row
-    contexts at a given pipeline position share their key set).
-    Compile an expression once per site, never share the result across
-    sites.
+    Without ``layout`` the closure reads a dict row context.  Each call
+    returns *fresh* closures: a :class:`ColumnRef` closure caches its
+    resolved row-context key after the first row, which is only sound
+    while the closure stays at one evaluation site (row contexts at a
+    given pipeline position share their key set).  Compile an
+    expression once per site, never share the result across sites.
+
+    With ``layout`` — context key (qualified ``alias.col`` and bare
+    ``col``) to tuple position — the closure reads a stored row tuple
+    instead, every column position resolved here.  A column the layout
+    lacks compiles to a closure that raises the same unknown-column
+    error the dict path raises, at the first row it evaluates.
 
     Unknown :class:`Expression` subclasses (e.g. aggregate calls, which
     the executor handles in its grouping stage) fall back to
@@ -470,13 +481,15 @@ def compile_expression(expression: Expression) -> CompiledExpr:
         return _param
 
     if isinstance(expression, ColumnRef):
+        if layout is not None:
+            return _compile_position(expression, layout)
         return _compile_column(expression)
 
     if isinstance(expression, Comparison):
         comparator = _COMPARATORS[expression.op]
         op = expression.op
-        left = compile_expression(expression.left)
-        right = compile_expression(expression.right)
+        left = compile_expression(expression.left, layout)
+        right = compile_expression(expression.right, layout)
 
         def _compare(row: RowContext, params: Sequence[Any]) -> Optional[bool]:
             a = left(row, params)
@@ -494,8 +507,8 @@ def compile_expression(expression: Expression) -> CompiledExpr:
         return _compare
 
     if isinstance(expression, LogicalAnd):
-        left = compile_expression(expression.left)
-        right = compile_expression(expression.right)
+        left = compile_expression(expression.left, layout)
+        right = compile_expression(expression.right, layout)
 
         def _and(row: RowContext, params: Sequence[Any]) -> Optional[bool]:
             a = _as_bool(left(row, params))
@@ -511,8 +524,8 @@ def compile_expression(expression: Expression) -> CompiledExpr:
         return _and
 
     if isinstance(expression, LogicalOr):
-        left = compile_expression(expression.left)
-        right = compile_expression(expression.right)
+        left = compile_expression(expression.left, layout)
+        right = compile_expression(expression.right, layout)
 
         def _or(row: RowContext, params: Sequence[Any]) -> Optional[bool]:
             a = _as_bool(left(row, params))
@@ -528,7 +541,7 @@ def compile_expression(expression: Expression) -> CompiledExpr:
         return _or
 
     if isinstance(expression, LogicalNot):
-        operand = compile_expression(expression.operand)
+        operand = compile_expression(expression.operand, layout)
 
         def _not(row: RowContext, params: Sequence[Any]) -> Optional[bool]:
             value = _as_bool(operand(row, params))
@@ -539,7 +552,7 @@ def compile_expression(expression: Expression) -> CompiledExpr:
         return _not
 
     if isinstance(expression, IsNull):
-        operand = compile_expression(expression.operand)
+        operand = compile_expression(expression.operand, layout)
         negated = expression.negated
 
         def _is_null(row: RowContext, params: Sequence[Any]) -> bool:
@@ -549,8 +562,10 @@ def compile_expression(expression: Expression) -> CompiledExpr:
         return _is_null
 
     if isinstance(expression, InList):
-        operand = compile_expression(expression.operand)
-        choices = tuple(compile_expression(c) for c in expression.choices)
+        operand = compile_expression(expression.operand, layout)
+        choices = tuple(
+            compile_expression(c, layout) for c in expression.choices
+        )
         negated = expression.negated
 
         def _in(row: RowContext, params: Sequence[Any]) -> Optional[bool]:
@@ -571,8 +586,8 @@ def compile_expression(expression: Expression) -> CompiledExpr:
         return _in
 
     if isinstance(expression, Like):
-        operand = compile_expression(expression.operand)
-        pattern = compile_expression(expression.pattern)
+        operand = compile_expression(expression.operand, layout)
+        pattern = compile_expression(expression.pattern, layout)
         negated = expression.negated
 
         def _like(row: RowContext, params: Sequence[Any]) -> Optional[bool]:
@@ -590,8 +605,8 @@ def compile_expression(expression: Expression) -> CompiledExpr:
     if isinstance(expression, Arithmetic):
         operator = _ARITHMETIC[expression.op]
         op = expression.op
-        left = compile_expression(expression.left)
-        right = compile_expression(expression.right)
+        left = compile_expression(expression.left, layout)
+        right = compile_expression(expression.right, layout)
 
         def _arith(row: RowContext, params: Sequence[Any]) -> Any:
             a = left(row, params)
@@ -612,7 +627,7 @@ def compile_expression(expression: Expression) -> CompiledExpr:
 
     if isinstance(expression, FunctionCall):
         fn = _FUNCTIONS[expression.name.lower()]
-        arg = compile_expression(expression.args[0])
+        arg = compile_expression(expression.args[0], layout)
 
         def _call(row: RowContext, params: Sequence[Any]) -> Any:
             value = arg(row, params)
@@ -623,7 +638,23 @@ def compile_expression(expression: Expression) -> CompiledExpr:
         return _call
 
     # Unknown subclass (AggregateCall and future nodes): interpret.
+    if layout is not None:
+        return lambda row, params: expression.evaluate(
+            {key: row[position] for key, position in layout.items()}
+        )
     return lambda row, params: expression.evaluate(row)
+
+
+def _compile_position(ref: ColumnRef, layout: Layout) -> CompiledExpr:
+    key = ref.key
+    position = layout.get(key)
+    if position is None:
+
+        def _unknown(row: Sequence[Any], params: Sequence[Any]) -> Any:
+            raise ProgrammingError(f"unknown column {key!r}")
+
+        return _unknown
+    return lambda row, params: row[position]
 
 
 def _compile_column(ref: ColumnRef) -> CompiledExpr:

@@ -86,6 +86,11 @@ class Index:
         order the executor's index joins and point lookups need."""
         return sorted(self._entries.get(key, ()))
 
+    def buckets(self) -> Iterator[Tuple[Key, Set[int]]]:
+        """``(key, row ids)`` per distinct key, NULL-bearing keys
+        included — what the planner's key filter walks."""
+        return iter(self._entries.items())
+
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._entries.values())
 

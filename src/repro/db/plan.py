@@ -20,6 +20,14 @@ all-off baseline — must return byte-identical rows, columns, and
 ordering to :func:`repro.db.query.naive_execute_select`, the seed
 row-at-a-time reference interpreter kept for exactly this purpose.
 
+Every expression site is lowered once per plan via
+:func:`repro.db.expr.compile_expression`.  Pushed-down base-table
+filters read the stored row tuple through a compile-time column
+layout, and a plan with no joins keeps its rows as tuples end to end
+(filters, group keys, aggregate arguments, items, ORDER BY); only a
+join step, or HAVING / a folded aggregate expression that needs the
+interpreter, builds a dict row context.
+
 Optimizations, each independently toggleable:
 
 * ``predicate_pushdown`` — WHERE conjuncts that reference only the base
@@ -35,8 +43,6 @@ Optimizations, each independently toggleable:
 * ``join_side_selection`` — hash joins build on the smaller input.  A
   build-on-left join replays matches per left position so output order
   stays left-major, identical to the build-on-right order.
-* ``compiled_expressions`` — every expression site is lowered once per
-  plan via :func:`repro.db.expr.compile_expression`.
 * ``streaming_aggregation`` — GROUP BY folds incremental aggregate
   states (count/sum/avg/min/max, DISTINCT via first-occurrence sets) in
   a single pass instead of materializing per-group row lists.  Fold
@@ -52,7 +58,10 @@ Known (documented) divergence from the reference: pushdown and
 streaming aggregation may surface *errors* earlier — an unknown-column
 conjunct evaluates at the base scan instead of after joins, and an
 ill-typed aggregate raises during the row pass instead of at group
-fold.  Result rows are never affected.
+fold.  Conversely, the ``IN``-list and key-filter access paths never
+fetch a row their conjunct rejects, so an error another conjunct
+would raise on such a row alone (``x IN (...) AND bad`` with ``x``
+NULL) is not raised.  Result rows are never affected.
 """
 
 from __future__ import annotations
@@ -60,6 +69,7 @@ from __future__ import annotations
 import heapq
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import (
     Any,
     Callable,
@@ -77,6 +87,7 @@ from repro.db.expr import (
     Comparison,
     Expression,
     InList,
+    Layout,
     Literal,
     Parameter,
     _as_bool,
@@ -101,6 +112,7 @@ from repro.db.query import (
     grouped_key_position,
 )
 from repro.db.table import Table
+from repro.errors import ProgrammingError
 from repro.obs import get_registry
 
 __all__ = ["PlannerOptions", "SelectPlan", "plan_rowids"]
@@ -119,14 +131,14 @@ class PlannerOptions:
     predicate_pushdown: bool = True
     index_join: bool = True
     join_side_selection: bool = True
-    compiled_expressions: bool = True
     streaming_aggregation: bool = True
     topk_order: bool = True
 
     @classmethod
     def naive(cls) -> "PlannerOptions":
-        """Every optimization off: the seed executor's cost profile."""
-        return cls(False, False, False, False, False, False)
+        """Every optional optimization off (expressions still compile
+        and the base access paths stay)."""
+        return cls(False, False, False, False, False)
 
     @classmethod
     def from_env(cls) -> "PlannerOptions":
@@ -143,7 +155,6 @@ class PlannerOptions:
                 "predicate_pushdown",
                 "index_join",
                 "join_side_selection",
-                "compiled_expressions",
                 "streaming_aggregation",
                 "topk_order",
             )
@@ -158,24 +169,28 @@ class PlannerOptions:
 
 
 class _Site:
-    """One expression at one evaluation site of the pipeline.
+    """One expression at one evaluation site of the pipeline, compiled
+    once at plan time — against ``layout`` when the site's rows are
+    stored tuples, against dict row contexts otherwise."""
 
-    Compiled once at plan time when the option is on; otherwise the
-    expression is bound per execution and interpreted, matching the
-    seed executor's cost profile for the ablation baseline.
-    """
+    __slots__ = ("_compiled", "_position")
 
-    __slots__ = ("expr", "_compiled")
-
-    def __init__(self, expr: Expression, compiled: bool) -> None:
-        self.expr = expr
-        self._compiled = compile_expression(expr) if compiled else None
+    def __init__(
+        self, expr: Expression, layout: Optional[Layout] = None
+    ) -> None:
+        self._compiled = compile_expression(expr, layout)
+        # A plain column of a stored tuple reads by position.
+        self._position = (
+            layout.get(expr.key)
+            if layout is not None and isinstance(expr, ColumnRef)
+            else None
+        )
 
     def evaluator(self, params: Sequence[Any]) -> Callable[[Any], Any]:
+        if self._position is not None:
+            return itemgetter(self._position)
         compiled = self._compiled
-        if compiled is not None:
-            return lambda row: compiled(row, params)
-        return self.expr.bind(params).evaluate
+        return lambda row: compiled(row, params)
 
     def predicate(
         self, params: Sequence[Any], coerce: bool
@@ -184,10 +199,10 @@ class _Site:
         conjunct: a lone WHERE is checked ``is True`` on its raw value,
         while conjuncts under AND pass through three-valued
         ``_as_bool`` first (so a truthy non-bool keeps the row)."""
-        evaluate = self.evaluator(params)
+        compiled = self._compiled
         if coerce:
-            return lambda row: _as_bool(evaluate(row)) is True
-        return lambda row: evaluate(row) is True
+            return lambda row: _as_bool(compiled(row, params)) is True
+        return lambda row: compiled(row, params) is True
 
 
 # ---------------------------------------------------------------------------
@@ -202,21 +217,67 @@ def _probe_value(expression: Expression, params: Sequence[Any]) -> Any:
     return expression.value
 
 
+def _row_layout(ref: TableRef, table: Table) -> Dict[str, int]:
+    """Context key -> stored-tuple position for one source's columns,
+    qualified (``alias.col``) and bare (``col``)."""
+    layout: Dict[str, int] = {}
+    for position, column in enumerate(table.schema.column_names):
+        layout[f"{ref.name}.{column}"] = position
+        layout[column] = position
+    return layout
+
+
+def _sole_column(
+    conjunct: Expression,
+    ref: TableRef,
+    table: Table,
+    shared_columns: Set[str],
+) -> Optional[str]:
+    """The one base-table column ``conjunct`` reads, if it reads exactly
+    one and every reference to it is unambiguous (a bare name another
+    FROM source also has would raise in the joined context)."""
+    columns: Set[str] = set()
+    for key in conjunct.references():
+        alias, _, name = key.rpartition(".")
+        if alias and alias != ref.name:
+            return None
+        if not alias and name in shared_columns:
+            return None
+        if not table.schema.has_column(name):
+            return None
+        columns.add(name)
+    return columns.pop() if len(columns) == 1 else None
+
+
 class _BaseAccess:
     """Access path for one table's rows, chosen by shape at plan time.
 
     Preference order: single-column equality index, then single-column
     index probed once per ``IN``-list choice, then sorted-index range,
-    then full scan.  Probe values may be ``?`` parameters — they are
-    read per execution, and a NULL probe short-circuits to an empty
-    scan (``col = NULL`` is never true, and the conjunct that produced
-    the probe is re-applied anyway); NULL ``IN`` choices are skipped
-    for the same reason."""
+    then the index key filter, then full scan.  Probe values may be
+    ``?`` parameters — they are read per execution, and a NULL probe
+    short-circuits to an empty scan (``col = NULL`` is never true, and
+    the conjunct that produced the probe is re-applied anyway); NULL
+    ``IN`` choices are skipped for the same reason.
 
-    __slots__ = ("table", "kind", "index", "column", "op", "value_exprs")
+    The key filter serves any other conjunct that reads one indexed
+    column (``LOWER(name) LIKE ?``, ``NOT IN``, ``IS NULL``, ...): it
+    evaluates the conjunct once per distinct index key instead of once
+    per row and keeps the buckets of the keys that pass.  It runs only
+    while the index has at most half as many keys as the table has
+    rows (checked per execution); otherwise the table is scanned."""
+
+    __slots__ = (
+        "table", "kind", "index", "column", "op", "value_exprs",
+        "key_filters",
+    )
 
     def __init__(
-        self, table: Table, ref: TableRef, conjuncts: Sequence[Expression]
+        self,
+        table: Table,
+        ref: TableRef,
+        conjuncts: Sequence[Expression],
+        shared_columns: Set[str] = frozenset(),
     ) -> None:
         self.table = table
         self.kind = "scan"
@@ -224,6 +285,8 @@ class _BaseAccess:
         self.column: Optional[str] = None
         self.op: Optional[str] = None
         self.value_exprs: Tuple[Expression, ...] = ()
+        # (index, column, conjunct compiled over the 1-tuple index key).
+        self.key_filters: List[Tuple[Any, str, Callable]] = []
 
         # (kind, column, op, probe expressions) per usable conjunct.
         equality: List[Tuple[str, str, Optional[str], tuple]] = []
@@ -272,11 +335,21 @@ class _BaseAccess:
             self.value_exprs = value_exprs
             return
 
+        for conjunct in conjuncts:
+            column = _sole_column(conjunct, ref, table, shared_columns)
+            index = table.index_on((column,)) if column else None
+            if index is not None:
+                layout = {f"{ref.name}.{column}": 0, column: 0}
+                self.key_filters.append(
+                    (index, column, compile_expression(conjunct, layout))
+                )
+
     def rowids(
         self, params: Sequence[Any], plan: List[str]
     ) -> Iterable[int]:
-        """Candidate row ids in ascending-rowid order (scan/eq/in) or key
-        order (range), appending the chosen path to ``plan``."""
+        """Candidate row ids in ascending-rowid order (scan/eq/in/key
+        filter) or key order (range), appending the chosen path to
+        ``plan``."""
         if self.kind == "in":
             plan.append(f"index in-list {self.index.name}({self.column})")
             # The union in rowid order is the order a full scan visits
@@ -319,6 +392,25 @@ class _BaseAccess:
             return self.index.range(
                 (value,), None, include_low=self.op == ">="
             )
+        for index, column, passes in self.key_filters:
+            if index.distinct_keys * 2 > len(self.table):
+                continue
+            plan.append(f"index key filter {index.name}({column})")
+            candidates: List[int] = []
+            for key, bucket in index.buckets():
+                try:
+                    keep = _as_bool(passes(key, params)) is True
+                except (ProgrammingError, TypeError):
+                    # Ill-typed operands (scalar functions raise a bare
+                    # TypeError).  An earlier conjunct may reject every
+                    # row holding this key, and then the row-wise WHERE
+                    # never raises; re-applying the WHERE decides.
+                    keep = True
+                if keep:
+                    candidates.extend(bucket)
+            # Buckets are disjoint; ascending rowids is scan order.
+            candidates.sort()
+            return candidates
         plan.append(f"full scan {self.table.schema.name}")
         return (rowid for rowid, _ in self.table.scan())
 
@@ -533,13 +625,16 @@ class _JoinStep:
         "post_filters",
         "null_template",
         "context_keys",
+        "layout",
     )
 
-    def __init__(self, join: Any, table: Table, seen_names: List[str],
-                 compiled: bool) -> None:
+    def __init__(self, join: Any, table: Table,
+                 seen_names: List[str]) -> None:
         self.join = join
         self.table = table
-        self.on_site = _Site(join.on, compiled)
+        self.on_site = _Site(join.on)
+        # Pushed-down right filters run on the stored tuple.
+        self.layout = _row_layout(join.ref, table)
         # Prefixed context keys are static; building them per row would
         # put a string concat per column on the join hot path.
         prefix = join.ref.name + "."
@@ -572,7 +667,6 @@ class SelectPlan:
     ) -> None:
         self.statement = statement
         self.options = options
-        compiled = options.compiled_expressions
 
         self.base_ref = statement.from_ref
         self.base_table = catalog.table(statement.from_ref.table)
@@ -586,9 +680,7 @@ class SelectPlan:
         self.join_steps: List[_JoinStep] = []
         for join in statement.joins:
             table = catalog.table(join.ref.table)
-            self.join_steps.append(
-                _JoinStep(join, table, seen_names, compiled)
-            )
+            self.join_steps.append(_JoinStep(join, table, seen_names))
             seen_names.append(join.ref.name)
 
         # Which sources own which unqualified column names (for
@@ -606,8 +698,17 @@ class SelectPlan:
         # access path can only narrow candidates, never change results.
         conjuncts = _conjuncts(statement.where)
         self.base_access = _BaseAccess(
-            self.base_table, self.base_ref, conjuncts
+            self.base_table,
+            self.base_ref,
+            conjuncts,
+            {name for name, names in owners.items() if len(names) > 1},
         )
+
+        # Base filters always read the stored tuple; with no joins every
+        # later site does too (rows never become dicts).
+        base_layout = _row_layout(self.base_ref, self.base_table)
+        self.tuple_rows = not self.join_steps
+        layout = base_layout if self.tuple_rows else None
 
         # Classify conjuncts for pushdown.  ``coerce`` records whether
         # the seed would have AND-combined this conjunct (see
@@ -622,12 +723,11 @@ class SelectPlan:
                 sources = self._conjunct_sources(
                     conjunct, owners, source_names
                 )
-                site = _Site(conjunct, compiled)
                 if sources is None:
-                    self.final_filters.append(site)
+                    self.final_filters.append(_Site(conjunct, layout))
                     continue
                 if not sources or sources == {self.base_ref.name}:
-                    self.base_filters.append(site)
+                    self.base_filters.append(_Site(conjunct, base_layout))
                     pushed_down += 1
                     continue
                 last = max(position_of[name] for name in sources)
@@ -636,12 +736,12 @@ class SelectPlan:
                     sources == {step.join.ref.name}
                     and step.join.kind == "inner"
                 ):
-                    step.right_filters.append(site)
+                    step.right_filters.append(_Site(conjunct, step.layout))
                     pushed_down += 1
                 else:
-                    step.post_filters.append(site)
+                    step.post_filters.append(_Site(conjunct))
         elif statement.where is not None:
-            self.where_site = _Site(statement.where, compiled)
+            self.where_site = _Site(statement.where, layout)
 
         # Projection: stars expand at plan time against the catalog.
         self.items = _expand_items(statement, catalog, seen_names)
@@ -659,14 +759,14 @@ class SelectPlan:
             or statement.having is not None
         )
         self.item_sites = [
-            _Site(item.expr, compiled)
+            _Site(item.expr, layout)
             for item in self.items
             if item.expr is not None
         ]
 
         if self.has_aggregates and options.streaming_aggregation:
             self.group_sites = [
-                _Site(expr, compiled) for expr in statement.group_by
+                _Site(expr, layout) for expr in statement.group_by
             ]
             layout_exprs: List[Optional[Expression]] = [
                 item.expr for item in self.items
@@ -676,12 +776,12 @@ class SelectPlan:
             self.item_occurrences = per_expr[:-1]
             self.having_occurrences = per_expr[-1]
             self.agg_arg_sites: List[Optional[_Site]] = [
-                _Site(node.arg, compiled) if node.arg is not None else None
+                _Site(node.arg, layout) if node.arg is not None else None
                 for node in self.agg_nodes
             ]
 
         self.order_sites = [
-            (_Site(order.expr, compiled), order.descending)
+            (_Site(order.expr, layout), order.descending)
             for order in statement.order_by
         ]
 
@@ -689,14 +789,13 @@ class SelectPlan:
         notes: List[str] = []
         if options.predicate_pushdown and pushed_down:
             notes.append(f"pushdown {pushed_down} predicate(s)")
-        if compiled:
-            sites = (
-                len(self.base_filters)
-                + len(self.final_filters)
-                + len(self.item_sites)
-                + len(self.order_sites)
-            )
-            notes.append(f"compiled expressions ({sites} site(s))")
+        sites = (
+            len(self.base_filters)
+            + len(self.final_filters)
+            + len(self.item_sites)
+            + len(self.order_sites)
+        )
+        notes.append(f"compiled expressions ({sites} site(s))")
         if self.has_aggregates and options.streaming_aggregation:
             notes.append(
                 f"streaming aggregation "
@@ -743,24 +842,25 @@ class SelectPlan:
         plan: List[str] = []
         coerce = self.coerce_conjuncts
 
-        # Base scan with pushed-down filters.
+        # Base scan with pushed-down filters, on the stored tuples.
         rowids = self.base_access.rowids(params, plan)
-        keys = self.base_context_keys
         fetch = self.base_table.row
         base_predicates = [
             site.predicate(params, coerce) for site in self.base_filters
         ]
-        rows: List[Dict[str, Any]] = []
+        rows: List[Any] = []
         rows_scanned = 0
         for rowid in rowids:
             row = fetch(rowid)
             rows_scanned += 1
-            context = dict(zip(keys, row))
             for predicate in base_predicates:
-                if not predicate(context):
+                if not predicate(row):
                     break
             else:
-                rows.append(context)
+                rows.append(row)
+        if not self.tuple_rows:
+            keys = self.base_context_keys
+            rows = [dict(zip(keys, row)) for row in rows]
 
         # Joins.
         build_rows = 0
@@ -867,11 +967,13 @@ class SelectPlan:
                     for rowid in index.lookup_sorted((key,)):
                         context = fetched.get(rowid, _UNSET)
                         if context is _UNSET:
-                            context = dict(zip(right_keys, fetch(rowid)))
+                            right_row = fetch(rowid)
                             for predicate in right_predicates:
-                                if not predicate(context):
+                                if not predicate(right_row):
                                     context = None
                                     break
+                            else:
+                                context = dict(zip(right_keys, right_row))
                             fetched[rowid] = context
                         if context is None:
                             continue
@@ -890,12 +992,11 @@ class SelectPlan:
         scanned = 0
         for _rowid, right_row in right_table.scan():
             scanned += 1
-            context = dict(zip(right_keys, right_row))
             for predicate in right_predicates:
-                if not predicate(context):
+                if not predicate(right_row):
                     break
             else:
-                right_rows.append(context)
+                right_rows.append(dict(zip(right_keys, right_row)))
 
         if step.left_key is None:
             plan.append(f"nested loop join {name}")
@@ -1044,6 +1145,7 @@ class SelectPlan:
         if options.streaming_aggregation:
             output_rows = self._streaming_groups(rows, params)
         else:
+            rows = [self._context(row) for row in rows]
             bound_statement = statement.bind(params)
             bound_items = [
                 SelectItem(
@@ -1102,13 +1204,28 @@ class SelectPlan:
             )
         return ordered
 
+    def _context(self, row: Any) -> Dict[str, Any]:
+        """The dict row context the interpreter reads for ``row`` (an
+        empty one for the representative-less empty global group)."""
+        if row is None:
+            return {}
+        if self.tuple_rows:
+            return dict(zip(self.base_context_keys, row))
+        return row
+
     def _streaming_groups(
-        self, rows: List[Dict[str, Any]], params: Sequence[Any]
+        self, rows: List[Any], params: Sequence[Any]
     ) -> List[Tuple[Any, ...]]:
         statement = self.statement
         key_evaluators = [
             site.evaluator(params) for site in self.group_sites
         ]
+        if len(key_evaluators) == 1:
+            # One GROUP BY expression: its value is the group key.
+            group_key = key_evaluators[0]
+        else:
+            def group_key(row: Any) -> Tuple[Any, ...]:
+                return tuple(evaluate(row) for evaluate in key_evaluators)
         arg_evaluators = [
             site.evaluator(params) if site is not None else None
             for site in self.agg_arg_sites
@@ -1118,12 +1235,9 @@ class SelectPlan:
         # One pass: group key -> (representative row, aggregate states).
         # Dict insertion order preserves first-appearance group order,
         # matching the naive setdefault-driven grouping.
-        groups: Dict[
-            Tuple[Any, ...],
-            Tuple[Dict[str, Any], List[_AggregateState]],
-        ] = {}
+        groups: Dict[Any, Tuple[Any, List[_AggregateState]]] = {}
         for row in rows:
-            key = tuple(evaluate(row) for evaluate in key_evaluators)
+            key = group_key(row)
             entry = groups.get(key)
             if entry is None:
                 entry = (
@@ -1134,9 +1248,11 @@ class SelectPlan:
             for state, evaluate in zip(entry[1], arg_evaluators):
                 state.add(evaluate(row) if evaluate is not None else None)
         if not statement.group_by and not groups:
-            # Global aggregate over an empty input still yields one row.
+            # Global aggregate over an empty input still yields one row;
+            # with no representative every expression is interpreted
+            # over an empty context, as the seed does.
             groups[()] = (
-                {},
+                None,
                 [_AggregateState(node) for node in agg_nodes],
             )
 
@@ -1147,27 +1263,30 @@ class SelectPlan:
         output: List[Tuple[Any, ...]] = []
         for representative, states in groups.values():
             values = [state.result() for state in states]
+            # Built only when the interpreter has to run for this group.
+            context: Optional[Dict[str, Any]] = None
             if having is not None:
+                context = self._context(representative)
                 folded = _fold_values(
                     having, self.having_occurrences, values
                 )
-                if folded.bind(params).evaluate(representative) is not True:
+                if folded.bind(params).evaluate(context) is not True:
                     continue
             out_row: List[Any] = []
             for item, occurrences, evaluate in zip(
                 self.items, self.item_occurrences, item_evaluators
             ):
                 expression = item.expr
-                if not occurrences:
+                if isinstance(expression, AggregateCall):
+                    out_row.append(values[occurrences[0]])
+                elif not occurrences and representative is not None:
                     # No aggregates: evaluate on the representative row
                     # (group keys are constant within a group).
                     out_row.append(evaluate(representative))
-                elif isinstance(expression, AggregateCall):
-                    out_row.append(values[occurrences[0]])
                 else:
+                    if context is None:
+                        context = self._context(representative)
                     folded = _fold_values(expression, occurrences, values)
-                    out_row.append(
-                        folded.bind(params).evaluate(representative)
-                    )
+                    out_row.append(folded.bind(params).evaluate(context))
             output.append(tuple(out_row))
         return output

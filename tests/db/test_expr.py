@@ -16,6 +16,7 @@ from repro.db import (
     LogicalOr,
     Parameter,
 )
+from repro.db.expr import compile_expression
 from repro.errors import ProgrammingError
 
 ROW = {"t.a": 5, "t.b": "hello", "t.c": None}
@@ -180,3 +181,28 @@ class TestReferences:
             Like(ColumnRef("b", "t"), lit("%")),
         )
         assert set(expr.references()) == {"t.a", "t.b"}
+
+
+class TestCompiledLayout:
+    """Compiled against a layout, an expression reads a stored tuple
+    and agrees with the interpreter on the equivalent dict context."""
+
+    LAYOUT = {"t.a": 0, "a": 0, "t.b": 1, "b": 1, "t.c": 2, "c": 2}
+    TUPLE = (5, "hello", None)
+
+    @pytest.mark.parametrize("expr", [
+        Comparison(">", ColumnRef("a", "t"), Parameter(0)),
+        LogicalAnd(Like(ColumnRef("b"), lit("he%")),
+                   IsNull(ColumnRef("c", "t"))),
+        InList(FunctionCall("upper", (ColumnRef("b"),)),
+               (lit("HELLO"), Parameter(0))),
+        Arithmetic("*", ColumnRef("a"), ColumnRef("a", "t")),
+    ])
+    def test_tuple_matches_interpreter(self, expr):
+        compiled = compile_expression(expr, self.LAYOUT)
+        assert compiled(self.TUPLE, [3]) == expr.bind([3]).evaluate(ROW)
+
+    def test_unknown_column_raises_when_evaluated(self):
+        compiled = compile_expression(ColumnRef("z", "t"), self.LAYOUT)
+        with pytest.raises(ProgrammingError, match="unknown column 't.z'"):
+            compiled(self.TUPLE, [])

@@ -5,6 +5,7 @@ import pytest
 from repro import obs
 from repro.db import Database, PlannerOptions, parse
 from repro.db.query import naive_execute_select
+from repro.errors import ProgrammingError
 
 
 @pytest.fixture
@@ -126,11 +127,13 @@ class TestInListAccess:
         )
         assert registry.counter("db.rows_scanned").value == 16
 
-    def test_not_in_stays_a_scan(self, db):
+    def test_not_in_uses_key_filter(self, db):
+        # NOT IN has no probe values; 4 distinct deal_id keys over 32
+        # rows passes the key filter's cardinality guard.
         result = db.execute(
             "SELECT cid FROM contacts WHERE deal_id NOT IN ('d0')"
         )
-        assert "full scan contacts" in result.plan
+        assert "index key filter ix_contacts_deal(deal_id)" in result.plan
         assert len(result.rows) == 24
 
     def test_equality_index_preferred_over_in_list(self, db):
@@ -165,6 +168,94 @@ class TestInListAccess:
                 "SELECT cid FROM contacts WHERE nm = 'moved'"
             ).column("cid")
             assert moved == selected
+
+
+class TestKeyFilter:
+    def test_like_served_by_key_filter(self, db, registry):
+        result = db.execute(
+            "SELECT cid FROM contacts WHERE LOWER(deal_id) LIKE ?", ["%3"]
+        )
+        assert "index key filter ix_contacts_deal(deal_id)" in result.plan
+        assert result.column("cid") == [30 + j for j in range(8)]
+        # Only the candidates of passing keys are fetched.
+        assert registry.counter("db.rows_scanned").value == 8
+
+    def test_explain_reports_key_filter(self, db):
+        lines = db.explain(
+            "SELECT c.nm FROM contacts c WHERE LOWER(c.deal_id) LIKE 'd1'"
+        ).column("plan")
+        assert lines[0] == "index key filter ix_contacts_deal(deal_id)"
+
+    def test_high_cardinality_column_scans(self, db, registry):
+        # 32 distinct names over 32 rows: evaluating per key would cost
+        # as much as the scan, so the guard keeps the full scan.
+        db.execute("CREATE INDEX ix_contacts_nm ON contacts (nm)")
+        result = db.execute(
+            "SELECT cid FROM contacts WHERE LOWER(nm) LIKE 'p1.%'"
+        )
+        assert "full scan contacts" in result.plan
+        assert result.column("cid") == [10 + j for j in range(8)]
+        assert registry.counter("db.rows_scanned").value == 32
+
+    def test_raising_key_behind_rejecting_conjunct(self, db):
+        # LIKE over an INTEGER key raises for every non-NULL key; the
+        # first conjunct rejects each row holding one, so the row-wise
+        # WHERE never reaches the LIKE there and nothing may raise.
+        db.execute(
+            "CREATE TABLE marks (mid INTEGER, grp INTEGER, tag TEXT, "
+            "PRIMARY KEY (mid))"
+        )
+        db.execute("CREATE INDEX ix_marks_grp ON marks (grp)")
+        rows = [(1, 1, "a"), (2, 1, "b"), (3, 2, "a"), (4, None, "x"),
+                (5, 2, "b"), (6, None, "x")]
+        for row in rows:
+            db.execute("INSERT INTO marks VALUES (?, ?, ?)", list(row))
+        sql = "SELECT mid FROM marks WHERE tag = 'x' AND grp LIKE '1%'"
+        result = db.execute(sql)
+        assert "index key filter ix_marks_grp(grp)" in result.plan
+        assert result.rows == naive_execute_select(db, parse(sql)).rows
+
+    @pytest.mark.parametrize("sql,error", [
+        ("SELECT cid FROM contacts WHERE LENGTH(deal_id) + 'x' = 1",
+         ProgrammingError),
+        ("SELECT cid FROM contacts WHERE ABS(deal_id) = 1", TypeError),
+    ])
+    def test_raising_key_still_raises_on_its_rows(self, db, sql, error):
+        # Every key raises, so every row is a candidate and the WHERE
+        # raises on the first, exactly as the row-wise reference does.
+        with pytest.raises(error):
+            naive_execute_select(db, parse(sql))
+        with pytest.raises(error):
+            db.execute(sql)
+
+    @pytest.mark.parametrize("statement", [
+        "UPDATE contacts SET nm = 'moved' WHERE LOWER(deal_id) LIKE ?",
+        "DELETE FROM contacts WHERE LOWER(deal_id) LIKE ?",
+    ])
+    def test_mutations_use_key_filter(self, db, statement):
+        params = ["%2"]
+        where = statement.split(" WHERE ", 1)[1]
+        selected = naive_execute_select(
+            db, parse(f"SELECT cid FROM contacts WHERE {where}"), params
+        ).column("cid")
+        everyone = db.execute("SELECT cid FROM contacts").column("cid")
+        result = db.execute(statement, params)
+        assert "index key filter ix_contacts_deal(deal_id)" in result.plan
+        assert result.scalar() == len(selected) == 8
+        if statement.startswith("DELETE"):
+            remaining = db.execute("SELECT cid FROM contacts").column("cid")
+            assert remaining == [c for c in everyone if c not in selected]
+        else:
+            moved = db.execute(
+                "SELECT cid FROM contacts WHERE nm = 'moved'"
+            ).column("cid")
+            assert moved == selected
+
+    def test_unknown_column_raises_on_tuple_rows(self, db):
+        with pytest.raises(ProgrammingError, match="unknown column"):
+            db.execute("SELECT nope FROM deals")
+        with pytest.raises(ProgrammingError, match="unknown column"):
+            db.execute("SELECT deal_id FROM deals WHERE d.industry = 'x'")
 
 
 class TestScanMetrics:

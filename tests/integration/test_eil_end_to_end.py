@@ -316,3 +316,43 @@ class TestConceptSuggestions:
     def test_known_concept_no_suggestion(self, eil):
         results = eil.search(FormQuery(tower="WAN"), SALES)
         assert not any("did you mean" in step for step in results.plan)
+
+
+@pytest.fixture(scope="module")
+def wide_eil():
+    corpus = CorpusGenerator(
+        CorpusConfig(n_deals=40, docs_per_deal=12)
+    ).generate()
+    return EILSystem.build(corpus)
+
+
+class TestScopedConjunction:
+    """Step 9 keeps only synopsis matches with keyword hits."""
+
+    @pytest.mark.parametrize("tower,keyword", [
+        ("Network Services", "data"),
+        ("End User Services", "support"),
+    ])
+    def test_many_groups_keep_order(self, wide_eil, tower, keyword):
+        form = service_keyword_query(tower, keyword)
+        search = wide_eil._require_search()
+        synopsis = search._synopsis_matches(form)
+        groups = search._siapi_grouped(
+            form.to_siapi_query(), set(synopsis), 5
+        )
+        # The per-match scan over every group, as a reference.
+        conjunctive = {
+            deal_id: match
+            for deal_id, match in synopsis.items()
+            if any(g.activity_id == deal_id for g in groups)
+        }
+        expected = search.combiner.combine(conjunctive, groups)
+        assert len(groups) >= 8
+        assert len(conjunctive) < len(synopsis)
+
+        results = wide_eil.search(form, SALES)
+        assert results.scoped
+        assert results.deal_ids == [a.deal_id for a in expected]
+        assert [a.score for a in results.activities] == [
+            a.score for a in expected
+        ]
