@@ -104,12 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "the corpus by deal across worker "
                              "processes for true multi-core builds — "
                              "results are identical under every mode")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="partition the inverted index into this "
-                             "many deal-keyed shards served by fan-out "
-                             "+ rank-merge (default: 1 or "
-                             "$REPRO_SHARDS; rankings are bit-identical "
-                             "at any shard count)")
     parser.add_argument("--fault-profile", default="",
                         help="arm the fault injector, e.g. "
                              "'db:error=0.2;index:latency=0.05' "
@@ -237,12 +231,10 @@ def _make_system(args: argparse.Namespace) -> tuple:
         ).generate()
     index_dir = getattr(args, "index_dir", None)
     if index_dir:
-        # Cold start: segments + synopsis DB come off disk; the shard
-        # count is whatever the index was persisted with.
+        # Cold start: segments + synopsis DB come off disk.
         return corpus, EILSystem.load(index_dir, corpus)
     return corpus, EILSystem.build(corpus, workers=args.workers,
-                                   executor=args.executor,
-                                   shards=args.shards)
+                                   executor=args.executor)
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:

@@ -74,16 +74,6 @@ def _default_executor() -> str:
     return os.environ.get("REPRO_EXECUTOR", "threads")
 
 
-def _default_shards() -> int:
-    """Engine shard count when unspecified: ``REPRO_SHARDS`` or 1.
-
-    Like ``REPRO_WORKERS``, the override exists so an entire test or CI
-    run can be re-executed against the sharded engine (rankings are
-    bit-identical at any shard count) without touching call sites.
-    """
-    return int(os.environ.get("REPRO_SHARDS", "1"))
-
-
 @dataclass
 class BuildReport:
     """What the offline pipeline produced.
@@ -134,37 +124,21 @@ class EILSystem:
         deadline_seconds: Optional[float] = None,
         max_failure_ratio: float = 1.0,
         retry: Optional[RetryPolicy] = None,
-        shards: Optional[int] = None,
     ) -> None:
         workers = _default_workers() if workers is None else workers
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        shards = _default_shards() if shards is None else shards
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         self.taxonomy = taxonomy
         self.collection = collection
         self.directory = directory
         self.access = access or AccessController()
         self.workers = workers
         self.executor = executor or _default_executor()
-        self.shards = shards
         self._query_cache_size = query_cache_size
-        if shards > 1:
-            # Deal-keyed partitions, bit-identical rankings (the shard
-            # engines score with corpus-global statistics).
-            from repro.serving.sharding import ShardedSearchEngine
-
-            self.engine = ShardedSearchEngine(
-                shards=shards,
-                field_boosts=field_boosts or {"title": 2.0},
-                cache_size=engine_cache_size,
-            )
-        else:
-            self.engine = SearchEngine(
-                field_boosts=field_boosts or {"title": 2.0},
-                cache_size=engine_cache_size,
-            )
+        self.engine = SearchEngine(
+            field_boosts=field_boosts or {"title": 2.0},
+            cache_size=engine_cache_size,
+        )
         self.siapi = SiapiService(self.engine)
         self.organized = OrganizedInformation()
         self.synopsis_builder = SynopsisBuilder(self.organized)
@@ -203,7 +177,6 @@ class EILSystem:
         deadline_seconds: Optional[float] = None,
         max_failure_ratio: float = 1.0,
         retry: Optional[RetryPolicy] = None,
-        shards: Optional[int] = None,
     ) -> "EILSystem":
         """Build a ready-to-query system from a generated corpus.
 
@@ -222,10 +195,6 @@ class EILSystem:
                 fraction of documents failed or were quarantined.
             retry: Retry policy for transient failures across both
                 pipelines (defaults to three quick attempts).
-            shards: Online index partitions (default 1, or
-                ``REPRO_SHARDS``); > 1 serves queries by deal-keyed
-                fan-out with rankings bit-identical to the unsharded
-                engine.
         """
         system = cls(
             taxonomy=corpus.taxonomy,
@@ -239,7 +208,6 @@ class EILSystem:
             deadline_seconds=deadline_seconds,
             max_failure_ratio=max_failure_ratio,
             retry=retry,
-            shards=shards,
         )
         system.run_offline_pipeline()
         return system
@@ -331,9 +299,8 @@ class EILSystem:
         Layout::
 
             directory/
-              eil-manifest.json   # format + version + shards + build report
-              index/              # segment store (MANIFEST.json or, when
-                                  # sharded, SHARDS.json + shard-NN/)
+              eil-manifest.json   # format + version + build report
+              index/              # segment store (MANIFEST.json)
               synopsis.json       # organized-information database snapshot
               graph.json          # entity graph (canonical, checksummed)
 
@@ -356,7 +323,6 @@ class EILSystem:
             manifest = {
                 "format": self._EIL_FORMAT,
                 "version": self._EIL_VERSION,
-                "shards": self.shards,
                 "graph": self._GRAPH_FILE,
                 "repositories": self._repositories,
                 "build_report": (
@@ -387,7 +353,6 @@ class EILSystem:
         deadline_seconds: Optional[float] = None,
         max_failure_ratio: float = 1.0,
         retry: Optional[RetryPolicy] = None,
-        shards: Optional[int] = None,
         verify: bool = True,
     ) -> "EILSystem":
         """Cold-start a ready-to-query system from :meth:`save_index`.
@@ -398,11 +363,11 @@ class EILSystem:
         incremental maintenance (``add_workbook`` / ``remove_deal``)
         behave exactly as on the freshly built system.
 
-        The shard count comes from the saved manifest — the segments
-        were partitioned at save time, so ``REPRO_SHARDS`` is
-        deliberately ignored here.  Passing an explicit ``shards`` that
-        disagrees with the manifest raises
-        :class:`~repro.errors.StorageError`.
+        Older snapshots carry a ``"shards"`` manifest field: ``1`` (or
+        no field) loads as usual; any other value, or a sharded
+        ``index/SHARDS.json`` layout, raises
+        :class:`~repro.errors.StorageError` asking for a rebuild and a
+        fresh :meth:`save_index`.
 
         Args:
             directory: A directory written by :meth:`save_index`.
@@ -436,12 +401,18 @@ class EILSystem:
                 f"unsupported EIL index version "
                 f"{manifest.get('version')!r} in {manifest_path}"
             )
-        saved_shards = int(manifest.get("shards", 1))
-        if shards is not None and shards != saved_shards:
+        # Older snapshots record "shards"; only the unsharded layout
+        # (1, or no field at all) is still served.
+        saved_shards = manifest.get("shards", 1)
+        if type(saved_shards) is not int or saved_shards != 1 or (
+            os.path.exists(
+                os.path.join(directory, cls._INDEX_SUBDIR, "SHARDS.json")
+            )
+        ):
             raise StorageError(
-                f"index at {directory} was saved with {saved_shards} "
-                f"shard(s) but {shards} requested; load with the saved "
-                f"count (the partitioning is fixed at save time)"
+                f"index at {directory} is a sharded or malformed snapshot "
+                f"(shards={saved_shards!r}); rebuild the system and "
+                f"re-run save_index"
             )
         system = cls(
             taxonomy=corpus.taxonomy,
@@ -458,7 +429,6 @@ class EILSystem:
             deadline_seconds=deadline_seconds,
             max_failure_ratio=max_failure_ratio,
             retry=retry,
-            shards=saved_shards,
         )
         with get_tracer().span("persist.load"):
             system.engine.load_index(

@@ -770,10 +770,11 @@ class SearchEngine:
     def bump_epoch(self) -> None:
         """Advance the epoch without touching the index.
 
-        The sharded engine calls this on its children after a
-        corpus-global statistics change (any shard's mutation moves N
-        and avgdl for every shard), so per-child cached rankings keyed
-        on the child epoch can never survive a cross-shard mutation.
+        Every cached ranking (the engine cache, and the query cache
+        keyed on this epoch) is retired exactly as a write retires it,
+        so a benchmark can stand in for a write between two passes over
+        the same requests: the second pass starts from empty caches and
+        an unchanged corpus.
         """
         with self._rw.write():
             self.epoch += 1

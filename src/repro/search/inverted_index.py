@@ -428,12 +428,9 @@ class InvertedIndex:
     def field_token_total(self, field: str) -> int:
         """Exact total token count across all documents' ``field``.
 
-        Exposed (as an integer, not a precomputed ratio) so a sharded
-        deployment can reconstruct the corpus-global average length
-        bit-identically: summing per-shard integer totals and dividing
-        once yields the same float as the unsharded
-        :meth:`average_length`, whereas averaging per-shard floats would
-        not.
+        Exposed (as an integer, not a precomputed ratio) so the segment
+        store can sum its memtable's and segments' totals and divide
+        once, reproducing :meth:`average_length` bit-identically.
         """
         return self._field_token_totals.get(field, 0)
 

@@ -237,10 +237,6 @@ class Bm25Scorer:
                 return mult * max_tf / (max_tf + base)
         return mult
 
-    def clear_caches(self) -> None:
-        """Drop the idf cache (tests and long-lived multi-index use)."""
-        self._idf_cache = _IdfCache()
-
 
 class TfidfScorer:
     """log-scaled TF x smoothed IDF, the classic vector-space weight."""
@@ -304,7 +300,3 @@ class TfidfScorer:
             # tf is unbounded a priori; never prune on this clause.
             return math.inf
         return (1.0 + math.log(max_tf)) * idf
-
-    def clear_caches(self) -> None:
-        """Drop the idf cache (tests and long-lived multi-index use)."""
-        self._idf_cache = _IdfCache()

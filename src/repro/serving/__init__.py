@@ -1,19 +1,12 @@
-"""Concurrent serving layer: sharded fan-out plus a front door.
+"""Concurrent serving layer: the front door of one EIL deployment.
 
 The paper's production EIL served an entire community of practice from
-one deployment; this package is the repro's equivalent of that serving
-tier, in two layers:
-
-* :mod:`repro.serving.sharding` — partition the inverted index
-  (:class:`ShardedSearchEngine`) and the synopsis database
-  (:class:`ShardedOrganized`) into shards keyed by deal, execute
-  queries by fan-out + rank-merge, and keep rankings **bit-identical**
-  to the unsharded engine by scoring every shard with corpus-global
-  statistics.
-* :mod:`repro.serving.server` — :class:`EILServer`, a thread-pool
-  front door with a bounded admission queue, deadline-aware rejection,
-  load shedding (:class:`~repro.errors.ServerOverloadedError`) and a
-  circuit breaker, surfaced through ``serving.*`` metrics.
+one OmniFind index plus one synopsis database; this package is the
+repro's equivalent of that serving tier:
+:class:`~repro.serving.server.EILServer`, a thread-pool front door
+with a bounded admission queue, deadline-aware rejection, load
+shedding (:class:`~repro.errors.ServerOverloadedError`) and a circuit
+breaker, surfaced through ``serving.*`` metrics.
 
 Snapshot semantics: every engine mutation and its epoch bump run under
 the write side of a writer-preferring read/write lock, every query
@@ -23,15 +16,5 @@ index.
 """
 
 from repro.serving.server import EILServer
-from repro.serving.sharding import (
-    ShardedOrganized,
-    ShardedSearchEngine,
-    shard_for,
-)
 
-__all__ = [
-    "EILServer",
-    "ShardedOrganized",
-    "ShardedSearchEngine",
-    "shard_for",
-]
+__all__ = ["EILServer"]

@@ -792,7 +792,7 @@ class SegmentBackedIndex:
         Integer token totals and document counts are summed across the
         memtable and every segment first, then divided once — the same
         float the all-in-memory index computes (bit-identical BM25
-        avgdl), exactly like the sharded view's global statistics.
+        avgdl).
         """
         if len(self) == 0:
             return 0.0

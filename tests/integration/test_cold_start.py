@@ -3,10 +3,9 @@
 The acceptance contract for persistent storage: a system loaded from
 disk is indistinguishable from the freshly built one — same rankings
 and counts bit-for-bit, same synopses, and the loaded system keeps
-supporting incremental maintenance (``add_workbook`` / ``remove_deal``)
-— including when the index was built sharded.  One test loads in a
-genuinely fresh process to prove nothing leaks through interpreter
-state.
+supporting incremental maintenance (``add_workbook`` / ``remove_deal``).
+One test loads in a genuinely fresh process to prove nothing leaks
+through interpreter state.
 """
 
 import dataclasses
@@ -214,26 +213,47 @@ def test_cold_start_fresh_process(built, corpus, tmp_path):
     assert fresh == local
 
 
-def test_cold_start_sharded(corpus, tmp_path):
-    built = EILSystem.build(corpus, shards=2)
+_ABSENT = object()
+
+
+def _set_manifest_shards(directory, value):
+    path = directory / EILSystem.EIL_MANIFEST
+    manifest = json.loads(path.read_text())
+    if value is _ABSENT:
+        manifest.pop("shards", None)
+    else:
+        manifest["shards"] = value
+    path.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize(
+    "shards, shards_json, loads",
+    [
+        (_ABSENT, False, True),
+        (1, False, True),
+        (2, False, False),
+        ("x", False, False),
+        (None, False, False),
+        (1, True, False),
+    ],
+    ids=["no-field", "one", "two", "string", "null", "shards-json"],
+)
+def test_snapshot_shards_field(built, corpus, tmp_path, shards,
+                               shards_json, loads):
+    # Snapshots from before sharding was retired may carry "shards";
+    # only the unsharded layout loads, anything else asks to re-persist.
     built.save_index(str(tmp_path))
-    # REPRO_SHARDS must NOT override the persisted partitioning.
-    os.environ["REPRO_SHARDS"] = "3"
-    try:
+    _set_manifest_shards(tmp_path, shards)
+    if shards_json:
+        (tmp_path / "index" / "SHARDS.json").write_text(
+            '{"format": "repro-sharded-index", "version": 1, "shards": 2}'
+        )
+    if loads:
         cold = EILSystem.load(str(tmp_path), corpus)
-    finally:
-        del os.environ["REPRO_SHARDS"]
-    assert cold.shards == 2
-    assert keyword_fingerprint(cold) == keyword_fingerprint(built)
-    workbook = next(iter(corpus.collection))
-    assert cold.remove_deal(workbook.deal_id) > 0
-    cold.add_workbook(workbook)
-
-
-def test_shard_mismatch_rejected(corpus, tmp_path):
-    EILSystem.build(corpus, shards=2).save_index(str(tmp_path))
-    with pytest.raises(StorageError, match="shard"):
-        EILSystem.load(str(tmp_path), corpus, shards=4)
+        assert keyword_fingerprint(cold) == keyword_fingerprint(built)
+    else:
+        with pytest.raises(StorageError, match="re-run save_index"):
+            EILSystem.load(str(tmp_path), corpus)
 
 
 def test_missing_or_foreign_directory_rejected(corpus, tmp_path):

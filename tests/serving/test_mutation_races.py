@@ -22,7 +22,6 @@ from repro.core.metaqueries import scope_query
 from repro.docmodel.repository import EngagementWorkbook
 from repro.corpus import DealGenerator, WorkbookFactory
 from repro.search import IndexableDocument, SearchEngine
-from repro.serving import ShardedSearchEngine
 
 SALES = User("u", frozenset({"sales"}))
 
@@ -59,20 +58,12 @@ def _ranking(engine, limit=10):
 class TestEngineSnapshotIsolation:
     """Concurrent readers vs a writer churning five documents."""
 
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            lambda: SearchEngine(),
-            lambda: ShardedSearchEngine(shards=3),
-        ],
-        ids=["unsharded", "sharded"],
-    )
-    def test_rankings_match_some_quiesced_epoch(self, factory):
+    def test_rankings_match_some_quiesced_epoch(self):
         docs = _make_docs()
         churned = docs[:5]
 
         # Serial replay: record the ranking at every quiesced state.
-        replay = factory()
+        replay = SearchEngine()
         replay.add_all(docs)
         allowed = {_ranking(replay)}
         for doc in churned:
@@ -82,7 +73,7 @@ class TestEngineSnapshotIsolation:
             replay.add(doc)
             allowed.add(_ranking(replay))
 
-        engine = factory()
+        engine = SearchEngine()
         engine.add_all(docs)
         stop = threading.Event()
         observed = []
@@ -140,7 +131,7 @@ class TestSystemSnapshotIsolation:
         corpus = CorpusGenerator(
             CorpusConfig(n_deals=4, docs_per_deal=14)
         ).generate()
-        eil = EILSystem.build(corpus, shards=3)
+        eil = EILSystem.build(corpus)
         generator = DealGenerator(seed=999, taxonomy=corpus.taxonomy)
         deal = generator.generate(len(corpus.deals) + 1)[-1]
         full = WorkbookFactory(corpus.taxonomy, seed=999).build_workbook(
